@@ -1,14 +1,11 @@
 # Local and CI invocations are the same commands: .github/workflows/ci.yml
-# runs build, vet, fmt-check, race, bench-smoke and serve-smoke as individual
-# steps, and `make ci` chains those same targets locally. Keep the two in
-# sync when adding a step.
+# runs build, vet, fmt-check, race, bench-smoke, matchbench-smoke and the
+# server smokes as individual steps, and `make ci` chains those same targets
+# locally. Keep the two in sync when adding a step.
 
 GO ?= go
-# PR numbers the perf-trajectory artifact (BENCH_pr$(PR).json); bump it each
-# PR so one artifact per PR accumulates in the repo.
-PR ?= 10
 
-.PHONY: build test race race4 bench bench-smoke bench-json serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
+.PHONY: build test race race4 bench bench-smoke matchbench-smoke serve serve-smoke soak soak-smoke fleet-smoke fmt fmt-check vet lint lint-extra ci
 
 build:
 	$(GO) build ./...
@@ -19,10 +16,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race detection with a multi-core scheduler: the dev container may default
-# to one CPU, which serializes the worker pools and can hide races in
-# branch-split scheduling (workers stealing branch tasks of each other's
-# solves). CI runs this as its own job.
+# Race detection with a multi-core scheduler: a one-CPU default serializes
+# the worker pools and can hide races in their own interleavings (solves of
+# several modules sharing the solver pool, the compile pool handing modules
+# to it, memo Puts racing spills). CI runs this as its own job.
 race4:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
@@ -34,13 +31,10 @@ bench:
 bench-smoke:
 	$(GO) test -bench='BenchmarkTable1Detection|BenchmarkDetectParallel|BenchmarkPipeline' -benchtime=1x -run='^$$' .
 
-# Perf trajectory artifact: engine scaling + streaming pipeline + HTTP
-# serving-path ns/op per worker count and the solver-memo hit rates, as
-# machine-readable JSON. Pinned to a 4-way scheduler: the adaptive
-# split-scheduling rows compare off/static/adaptive modes on multicore, and
-# a single-CPU dev container would flatten exactly those comparisons.
-bench-json:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_pr$(PR).json
+# Short runs of the match-service benchmark (matchbench, declared in
+# BENCHMARK.json) on both workloads, so the one perf harness cannot rot.
+matchbench-smoke:
+	bash scripts/matchbench_smoke.sh
 
 # Run the HTTP detection server locally.
 serve:
@@ -94,4 +88,4 @@ lint-extra:
 
 # race4 subsumes race locally (same suite, stronger scheduler); CI runs race
 # in the main job and race4 as its own parallel job.
-ci: build vet fmt-check lint race4 bench-smoke serve-smoke soak-smoke fleet-smoke
+ci: build vet fmt-check lint race4 bench-smoke matchbench-smoke serve-smoke soak-smoke fleet-smoke

@@ -1,9 +1,21 @@
 package idiomatic
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
+
+// facadeService returns a private Service closed when the test ends.
+func facadeService(t *testing.T) *Service {
+	t.Helper()
+	svc, err := NewService(ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	return svc
+}
 
 const dotSource = `
 double dot(double* x, double* y, int n) {
@@ -23,7 +35,9 @@ func dotArgs() []Value {
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
-	prog, err := Compile("demo", dotSource)
+	ctx := context.Background()
+	svc := facadeService(t)
+	prog, err := svc.Compile(ctx, "demo", dotSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +72,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("untransformed run made %d API calls", ref.Calls)
 	}
 
-	calls, err := prog.Accelerate(det)
+	calls, err := svc.Accelerate(ctx, prog, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +105,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeDetectOnly(t *testing.T) {
-	prog, err := Compile("demo", dotSource)
+	prog, err := facadeService(t).Compile(context.Background(), "demo", dotSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +119,14 @@ func TestFacadeDetectOnly(t *testing.T) {
 }
 
 func TestFacadeMatchCustomIdiom(t *testing.T) {
-	prog, err := Compile("demo", `
+	ctx := context.Background()
+	svc := facadeService(t)
+	prog, err := svc.Compile(ctx, "demo", `
 int f(int a, int b) { return (a*b) + (b*a); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := prog.Match(`
+	sols, err := svc.MatchIDL(ctx, prog, `
 Constraint TwoMuls
 ( {sum} is add instruction and
   {l} is first argument of {sum} and
@@ -127,17 +143,19 @@ End`, "TwoMuls", "f")
 }
 
 func TestFacadeErrors(t *testing.T) {
-	if _, err := Compile("bad", "not C at all {{{"); err == nil {
+	ctx := context.Background()
+	svc := facadeService(t)
+	if _, err := svc.Compile(ctx, "bad", "not C at all {{{"); err == nil {
 		t.Error("expected parse error")
 	}
-	prog, _ := Compile("demo", dotSource)
+	prog, _ := svc.Compile(ctx, "demo", dotSource)
 	if _, err := prog.Run("nonesuch"); err == nil {
 		t.Error("expected missing-function error")
 	}
-	if _, err := prog.Match("Constraint X ( {a} is add instruction ) End", "Y", "dot"); err == nil {
+	if _, err := svc.MatchIDL(ctx, prog, "Constraint X ( {a} is add instruction ) End", "Y", "dot"); err == nil {
 		t.Error("expected unknown-constraint error")
 	}
-	if _, err := prog.Match("garbage", "X", "dot"); err == nil {
+	if _, err := svc.MatchIDL(ctx, prog, "garbage", "X", "dot"); err == nil {
 		t.Error("expected IDL parse error")
 	}
 }

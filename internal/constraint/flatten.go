@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/idl"
 )
@@ -56,6 +57,10 @@ type NCollect struct {
 	Min int
 	// Instantiate flattens the body for a concrete index value.
 	Instantiate func(j int) (Node, error)
+
+	// infoOnce guards info, the prototype instance built by collectInfo.
+	infoOnce sync.Once
+	info     *collectInfo
 }
 
 func (*NAnd) node()     {}
@@ -90,6 +95,11 @@ type Problem struct {
 	// different StoreID) plus safe reuse when a pack is re-registered with
 	// byte-identical source.
 	StoreID [32]byte
+
+	// idxOnce guards idx, the static node index built by index. It lives
+	// on the problem so it is collected with it.
+	idxOnce sync.Once
+	idx     *probIndex
 }
 
 // Ordering selects the variable ordering strategy (ablation: the paper

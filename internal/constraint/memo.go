@@ -257,7 +257,9 @@ func (c *SolveCache) Put(prob *Problem, fp Fingerprint, info *analysis.Info, sol
 		evicted = c.evictOverLocked()
 	}
 	c.mu.Unlock()
-	c.enqueueSpill(st, le)
+	// Pass e rather than letting enqueueSpill read le.e: a concurrent Put of
+	// the same key may rewrite le.e as soon as the lock is released.
+	c.enqueueSpill(st, le, e)
 	c.spillEvicted(st, evicted)
 }
 
@@ -324,14 +326,15 @@ func (c *SolveCache) loadSpilled(st SpillStore, prob *Problem, fp Fingerprint, i
 	return e
 }
 
-// enqueueSpill hands one entry to the async writer. Encoding is deferred to
-// the writer goroutine so the cost row recorded right after Put is captured.
-func (c *SolveCache) enqueueSpill(st SpillStore, le *lruEntry) {
+// enqueueSpill hands entry e, just stored under le, to the async writer.
+// Encoding is deferred to the writer goroutine so the cost row recorded
+// right after Put is captured.
+func (c *SolveCache) enqueueSpill(st SpillStore, le *lruEntry, e *memoEntry) {
 	prob := le.key.prob
 	if st == nil || prob.StoreID == ([32]byte{}) || le.spilled.Load() {
 		return
 	}
-	e, shape, fp := le.e, le.shape, le.key.fp
+	shape, fp := le.shape, le.key.fp
 	ok := st.WriteAsync(spillKeyFor(prob, fp),
 		func() []byte {
 			ns, n := c.costSnapshot(prob, shape)

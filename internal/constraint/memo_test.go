@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -237,11 +238,11 @@ func TestSolveCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCancelledSplitSolveNotMemoized pins the split × memo poison contract:
-// a split solve with any cancelled branch reports Cancelled, the caller-side
-// guard (the detection engine's) therefore never stores it, and the cache
-// only ever serves the complete enumeration.
-func TestCancelledSplitSolveNotMemoized(t *testing.T) {
+// TestCancelledSolveNotMemoized pins the cancel × memo poison contract: a
+// solve aborted mid-search reports Cancelled, the caller-side guard (the
+// detection engine's) therefore never stores it, and the cache only ever
+// serves the complete enumeration.
+func TestCancelledSolveNotMemoized(t *testing.T) {
 	prob := mustProblem(t, figure2, "FactorizationOpportunity", nil)
 	info := analyzeC(t, bigKernelSource(120), "kernel")
 	fp := FingerprintInfo(info)
@@ -256,35 +257,31 @@ func TestCancelledSplitSolveNotMemoized(t *testing.T) {
 		return sols
 	}
 
+	// A pre-closed Cancel is observed at the first periodic poll, 64 steps
+	// into the search: a deterministic mid-search abort.
 	cancel := make(chan struct{})
+	close(cancel)
 	aborted := NewSolver(prob, info)
-	aborted.Split = 4
 	aborted.Cancel = cancel
-	aborted.Run = func(n int, task func(i int)) {
-		close(cancel) // deterministic mid-split abort
-		parallelRunner(n, task)
-	}
 	partial := solveThrough(aborted)
 	if !aborted.Cancelled() {
-		t.Fatal("mid-split cancellation not reported")
+		t.Fatal("mid-search cancellation not reported")
 	}
 	if c.Len() != 0 {
 		t.Fatalf("cancelled solve was memoized (%d entries)", c.Len())
 	}
 
-	// A complete split solve memoizes, and the entry rehydrates to exactly
-	// the full enumeration — not the aborted prefix.
+	// A complete solve memoizes, and the entry rehydrates to exactly the
+	// full enumeration — not the aborted prefix.
 	full := NewSolver(prob, info)
-	full.Split = 4
-	full.Run = parallelRunner
 	want := solveThrough(full)
-	if len(want) == 0 || len(partial) >= len(want) {
-		t.Fatalf("aborted solve found %d solutions, complete found %d; test needs a real prefix",
-			len(partial), len(want))
+	if len(want) == 0 || len(partial) >= len(want) || aborted.Steps >= full.Steps {
+		t.Fatalf("aborted solve found %d solutions in %d steps, complete found %d in %d; test needs a real prefix",
+			len(partial), aborted.Steps, len(want), full.Steps)
 	}
 	got, steps, ok := c.Get(prob, fp, info)
 	if !ok {
-		t.Fatal("complete split solve was not memoized")
+		t.Fatal("complete solve was not memoized")
 	}
 	if steps != full.Steps || len(got) != len(want) {
 		t.Fatalf("rehydrated %d solutions / %d steps, want %d / %d",
@@ -323,5 +320,38 @@ func TestSolveCacheLRUTouchOnGet(t *testing.T) {
 	}
 	if _, _, ok := c.Get(prob, fps[1], infos[1]); ok {
 		t.Error("shape 1 survived; LRU must have evicted it")
+	}
+}
+
+// TestSolveCacheConcurrentPutSameKey is the regression pin for a data race
+// between re-Puts of one key: Put rewrites the existing entry's payload
+// under the cache lock, so the async spill it schedules must take the
+// payload it just stored rather than re-read the shared entry after the
+// lock is released. Run under -race.
+func TestSolveCacheConcurrentPutSameKey(t *testing.T) {
+	prob := storableProblem(t)
+	info := analyzeC(t, memoTestC, "example")
+	fp := FingerprintInfo(info)
+	s := NewSolver(prob, info)
+	sols := s.Solve()
+
+	c := NewSolveCache()
+	c.AttachStore(newFakeSpill(true))
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				c.Put(prob, fp, info, sols, s.Steps)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Len() != 1 {
+		t.Fatalf("cache holds %d entries, want 1", c.Len())
+	}
+	if _, steps, ok := c.Get(prob, fp, info); !ok || steps != s.Steps {
+		t.Fatalf("Get = (%d steps, %v), want (%d, true)", steps, ok, s.Steps)
 	}
 }

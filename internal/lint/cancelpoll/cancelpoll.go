@@ -1,11 +1,12 @@
-// Package cancelpoll pins the PR 9 cancellation discipline in the solver:
-// every candidate-enumeration loop must react to cancellation once per
-// candidate. The periodic 64-step poll inside step() alone is not enough —
-// re-split branch chunks can be smaller than one polling interval, so a
-// chunk loop that never checks can run to completion after the request was
-// shed (the exact bug PR 9 retrofitted per-candidate polls for), and the
-// sequential loop must at least observe the cancelled flag so a deep abort
-// doesn't keep enumerating siblings through bind/eval work on the way out.
+// Package cancelpoll pins the solver's cancellation discipline: every
+// candidate-enumeration loop must react to cancellation once per candidate.
+// The periodic poll inside step() fires only every 64 steps, and only on
+// the frame that happens to take the 64th step; it sets the cancelled flag.
+// Every other live frame's candidate loop must observe that flag before its
+// next candidate, or a deep abort keeps binding and evaluating siblings at
+// each level on the way out. A candidate whose bind fails evaluation takes
+// no step at all, so a loop over a wide candidate list can also run far
+// longer than one poll interval with no poll firing.
 package cancelpoll
 
 import (
@@ -21,7 +22,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "cancelpoll",
 	Doc:       "flags candidate-enumeration loops in solve paths that never check cancellation",
-	Rationale: "solver loops must poll Cancel (or observe the cancelled flag) every candidate: re-split chunks can be smaller than the 64-step poll interval, so a loop without a per-iteration check has unbounded cancellation latency (PR 9 retrofit)",
+	Rationale: "solver loops must poll Cancel (or observe the cancelled flag) every candidate: the 64-step poll in step() fires on one frame only, and candidates rejected without recursing take no steps, so a loop in step's candidate enumeration without a per-iteration check keeps binding siblings after the abort and has cancellation latency bounded only by its candidate count",
 	Scope:     []string{"internal/constraint"},
 	Run:       run,
 }
@@ -87,7 +88,8 @@ func isCandidateRange(rs *ast.RangeStmt) bool {
 }
 
 // callsTryCandidate reports whether the loop body (outside nested function
-// literals) calls tryCandidate — the shared per-candidate search body.
+// literals) calls tryCandidate — the conventional name of a per-candidate
+// search body factored out of a loop.
 func callsTryCandidate(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

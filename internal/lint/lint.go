@@ -4,7 +4,7 @@
 //   - mapdeterminism — map iteration order must not reach wire output,
 //     golden files, or similarity scores (PR 7 golden flake class),
 //   - cancelpoll — solver candidate loops poll cancellation per candidate
-//     (PR 9 latency discipline),
+//     (bounded cancellation latency, no binding after an abort),
 //   - fsyncrename — blob-store renames publish only fsynced temp files
 //     (PR 8 durability contract),
 //   - errenvelope — every non-2xx HTTP response carries the v1 error
