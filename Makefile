@@ -29,7 +29,7 @@ bench:
 
 # One-iteration smoke of the detection benchmarks so the harness cannot rot.
 bench-smoke:
-	$(GO) test -bench='BenchmarkTable1Detection|BenchmarkDetectParallel|BenchmarkPipeline' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='BenchmarkTable1Detection|BenchmarkDetectParallel|BenchmarkPipeline|BenchmarkSolver' -benchtime=1x -run='^$$' .
 
 # Short runs of the match-service benchmark (matchbench, declared in
 # BENCHMARK.json) on both workloads, so the one perf harness cannot rot.

@@ -81,6 +81,7 @@ func BenchmarkDetectParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				results, err := eng.Modules(mods)
@@ -254,6 +255,8 @@ func BenchmarkFig17Coverage(b *testing.B) {
 
 // --- Per-idiom solver benchmarks ---
 
+// BenchmarkSolver measures one idiom's detection over one workload, so its
+// B/op and allocs/op rows are the per-solve allocation cost.
 func BenchmarkSolver(b *testing.B) {
 	cases := []struct {
 		idiom, bench string
@@ -271,6 +274,7 @@ func BenchmarkSolver(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := detect.Module(mod, detect.Options{Idioms: []string{c.idiom}}); err != nil {

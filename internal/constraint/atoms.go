@@ -1,6 +1,8 @@
 package constraint
 
 import (
+	"strings"
+
 	"repro/internal/idl"
 	"repro/internal/ir"
 )
@@ -74,10 +76,11 @@ func opcodeFor(name string) (ir.Opcode, bool) {
 // evalAtom evaluates an atomic predicate under the current assignment. When
 // any referenced variable is unbound the result is triUnknown; list atomics
 // only evaluate in the final phase.
-func (s *Solver) evalAtom(t *NAtom, final bool) tribool {
-	vals := make([]ir.Value, len(t.Args))
-	for i, name := range t.Args {
-		v, ok := s.assign[name]
+func (s *Solver) evalAtom(a *atomSlots, final bool) tribool {
+	t := a.atom
+	var vals [maxAtomArgs]ir.Value
+	for i, slot := range a.args[:a.nargs] {
+		v, ok := s.value(slot, t.Args[i])
 		if !ok {
 			return triUnknown
 		}
@@ -89,12 +92,11 @@ func (s *Solver) evalAtom(t *NAtom, final bool) tribool {
 	case idl.AtomClassIs:
 		return boolToTri(s.evalClassIs(t, vals[0]))
 	case idl.AtomOpcodeIs:
-		op, ok := opcodeFor(t.Opcode)
-		if !ok {
+		if !a.opOK {
 			return triFalse
 		}
 		in, isInstr := vals[0].(*ir.Instruction)
-		return boolToTri(isInstr && in.Op == op)
+		return boolToTri(isInstr && in.Op == a.op)
 	case idl.AtomSameAs:
 		same := sameValue(vals[0], vals[1])
 		return boolToTri(same != t.Negated)
@@ -120,15 +122,16 @@ func (s *Solver) evalAtom(t *NAtom, final bool) tribool {
 		if !final {
 			return triUnknown
 		}
+		lists := s.idx.lists[a.lists]
 		return boolToTri(s.info.AllFlowKilledBy(
-			s.expandList(t.Lists[0]), s.expandList(t.Lists[1]), s.expandList(t.Lists[2])))
+			s.expandList(lists[0]), s.expandList(lists[1]), s.expandList(lists[2])))
 	case idl.AtomOperandsFrom:
 		if !final {
 			return triUnknown
 		}
-		return boolToTri(s.evalOperandsFrom(vals[0], t.Lists[0], vals[1]))
+		return boolToTri(s.evalOperandsFrom(vals[0], s.idx.lists[a.lists][0], vals[1]))
 	case idl.AtomNoOpcodeBelow:
-		return boolToTri(s.evalNoOpcodeBelow(t, vals[0]))
+		return boolToTri(s.evalNoOpcodeBelow(a, vals[0]))
 	}
 	return triFalse
 }
@@ -281,20 +284,25 @@ func (s *Solver) evalPassesThrough(t *NAtom, from, to, via ir.Value) bool {
 	return s.info.AllControlFlowPassesThrough(fi, ti, vi)
 }
 
-// expandList resolves a varlist to values. A name that is not bound expands
-// to every bound variable named name[k]... (array expansion for collected
-// variables); names bound directly resolve to their value.
-func (s *Solver) expandList(refs []ListRef) []ir.Value {
+// expandList resolves a varlist to values. A name bound directly resolves to
+// its value; any other name expands to every bound variable named
+// name[k]... (array expansion for collected variables): the matching slots
+// in slot order, then the matching collect instances in binding order.
+func (s *Solver) expandList(refs []listSlot) []ir.Value {
 	var out []ir.Value
 	for _, r := range refs {
-		if v, ok := s.assign[r.Name]; ok {
+		if v, ok := s.value(r.slot, r.name); ok {
 			out = append(out, v)
 			continue
 		}
-		prefix := r.Name + "["
-		for name, v := range s.assign {
-			if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-				out = append(out, v)
+		for _, vid := range r.under {
+			if s.bound.has(int(vid)) {
+				out = append(out, s.vals[vid])
+			}
+		}
+		for _, b := range s.binds {
+			if len(b.name) > len(r.prefix) && strings.HasPrefix(b.name, r.prefix) {
+				out = append(out, b.val)
 			}
 		}
 	}
@@ -303,9 +311,8 @@ func (s *Solver) expandList(refs []ListRef) []ir.Value {
 
 // evalNoOpcodeBelow checks that the region dominated by `begin` contains no
 // instruction of the atom's opcode (begin itself included).
-func (s *Solver) evalNoOpcodeBelow(t *NAtom, begin ir.Value) bool {
-	op, ok := opcodeFor(t.Opcode)
-	if !ok {
+func (s *Solver) evalNoOpcodeBelow(a *atomSlots, begin ir.Value) bool {
+	if !a.opOK {
 		return false
 	}
 	bi, isInstr := begin.(*ir.Instruction)
@@ -313,7 +320,7 @@ func (s *Solver) evalNoOpcodeBelow(t *NAtom, begin ir.Value) bool {
 		return false
 	}
 	for _, in := range s.info.Instrs {
-		if in.Op == op && s.info.Dominates(bi, in) {
+		if in.Op == a.op && s.info.Dominates(bi, in) {
 			return false
 		}
 	}
@@ -325,7 +332,7 @@ func (s *Solver) evalNoOpcodeBelow(t *NAtom, begin ir.Value) bool {
 // the list, a constant, an argument, or a value defined outside the region
 // that begins at `begin` (a loop-invariant input). Inside the region only
 // pure computation is allowed: loads, stores and calls fail the check.
-func (s *Solver) evalOperandsFrom(v ir.Value, list []ListRef, begin ir.Value) bool {
+func (s *Solver) evalOperandsFrom(v ir.Value, list []listSlot, begin ir.Value) bool {
 	allowed := map[ir.Value]bool{}
 	for _, av := range s.expandList(list) {
 		allowed[av] = true

@@ -1,9 +1,12 @@
 package constraint
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/idl"
@@ -33,31 +36,105 @@ func (s Solution) String() string {
 type tribool int
 
 const (
-	triFalse tribool = iota
+	// triStale marks a cached node value invalidated by a variable change
+	// since it was computed (the zero value: nothing is evaluated yet).
+	triStale tribool = iota
+	triFalse
 	triTrue
 	triUnknown
 )
 
-// probIndex is the per-problem static structure that makes node evaluation
-// incremental: nodes are numbered, each node knows the set of solver
-// variables occurring in its subtree, and each variable knows the nodes it
-// can invalidate. It is built once per Problem and shared by all solvers.
-type probIndex struct {
-	nodes []Node  // id -> node
-	kids  [][]int // id -> child node ids
-	root  int
+// nodeKind is a formula node's type, precomputed so evaluation dispatches
+// without an interface type switch.
+type nodeKind uint8
 
+const (
+	kindAnd nodeKind = iota
+	kindOr
+	kindAtom
+	kindCollect
+)
+
+// probIndex is the per-problem static structure that makes node evaluation
+// incremental and the working state dense: nodes are numbered, variables are
+// numbered into slots, each node knows the set of slots occurring in its
+// subtree, each slot knows the nodes it can invalidate, and every atom's
+// variable references are resolved to slots. It is built once per Problem
+// and shared by all solvers.
+type probIndex struct {
+	kind []nodeKind // id -> node type
+	ref  []int32    // id -> index into atoms or collects, by kind
+	kids [][]int    // id -> child node ids
+	root int
+
+	vars     []string // slot -> variable name
 	varID    map[string]int
-	varNodes [][]int  // var id -> ids of nodes whose subtree mentions it
-	varIn    [][]bool // node id -> var id -> mentioned
+	varNodes [][]int  // slot -> ids of nodes whose subtree mentions it
+	varIn    []bitset // node id -> slots mentioned in its subtree
+
+	// emptyBound is the candidate set a subtree yields for a variable it
+	// does not mention: no set at all, except where a disjunction with no
+	// branches (an empty forsome range) bounds it to the empty set.
+	emptyBound []bool
+	atoms      []atomSlots
+	lists      [][][]listSlot // varlists of the atoms that have them
+	collects   []*collectLink // nil where the body cannot be instantiated
+}
+
+// maxAtomArgs is the largest variable arity of an IDL atomic; flattened
+// atoms copy the parser's arity.
+const maxAtomArgs = 3
+
+// atomSlots is an NAtom compiled against one probIndex: every argument and
+// list reference resolved to a slot, and the opcode spelling resolved.
+type atomSlots struct {
+	atom *NAtom
+	// args holds a slot per NAtom.Args entry; -1 when the name has no slot.
+	args  [maxAtomArgs]int32
+	nargs uint8
+	opOK  bool
+	op    ir.Opcode
+	// lists indexes probIndex.lists; -1 when the atom has no varlists.
+	lists int32
+}
+
+// listSlot is one compiled varlist member. A member bound directly resolves
+// to its value; otherwise it expands to every bound variable named
+// name[k]... — the slots among those are found statically, collect
+// instances by prefix at evaluation time.
+type listSlot struct {
+	name   string
+	slot   int32
+	prefix string
+	under  []int32
+}
+
+// collectLink connects a collect node to the solver variables around it.
+type collectLink struct {
+	c    *NCollect
+	info *collectInfo
+	// outer maps each body slot to the enclosing index's slot (-1: none).
+	outer []int32
+	// rest lists the enclosing slots the body has no slot for; the body
+	// sees them, like the enclosing bindings, as bindings of its own (read
+	// by varlist expansion and nested collects).
+	rest []int32
 }
 
 // collectInfo caches everything derivable from a collect body's prototype
-// instance: the flattened body, its variable list and its own sub-index.
+// instance: its variable list, its own sub-index and its instances' names.
 type collectInfo struct {
-	proto     Node
+	// protoVars is the body's slot list: its atom arguments in
+	// first-appearance order (the first nArgs entries), then the names its
+	// varlists reference.
 	protoVars []string
+	nArgs     int
 	idx       *probIndex
+
+	// mu guards insts, the per-index instance variable names (nil when the
+	// instance cannot be flattened).
+	mu    sync.Mutex
+	insts [][]string
 }
 
 // index returns the problem's static index, building it on first use.
@@ -77,56 +154,105 @@ func Prepare(p *Problem) {
 }
 
 func buildIndex(root Node, vars []string) *probIndex {
-	idx := &probIndex{varID: map[string]int{}}
+	idx := &probIndex{vars: vars, varID: map[string]int{}}
 	for i, v := range vars {
 		idx.varID[v] = i
 	}
 	nvars := len(vars)
+	slotOf := func(name string) int32 {
+		if vid, ok := idx.varID[name]; ok {
+			return int32(vid)
+		}
+		return -1
+	}
 
-	var walk func(n Node) (int, []bool)
-	walk = func(n Node) (int, []bool) {
-		id := len(idx.nodes)
-		idx.nodes = append(idx.nodes, n)
+	var walk func(n Node) (int, bitset)
+	walk = func(n Node) (int, bitset) {
+		id := len(idx.kind)
+		idx.kind = append(idx.kind, kindAnd)
 		idx.kids = append(idx.kids, nil)
 		idx.varIn = append(idx.varIn, nil)
-		mask := make([]bool, nvars)
+		idx.ref = append(idx.ref, -1)
+		idx.emptyBound = append(idx.emptyBound, false)
+		mask := newBitset(nvars)
 		switch t := n.(type) {
 		case *NAnd:
 			var kids []int
+			empty := false
 			for _, k := range t.Kids {
 				kid, km := walk(k)
 				kids = append(kids, kid)
-				orInto(mask, km)
+				mask.or(km)
+				empty = empty || idx.emptyBound[kid]
 			}
 			idx.kids[id] = kids
+			idx.emptyBound[id] = empty
 		case *NOr:
+			idx.kind[id] = kindOr
 			var kids []int
+			empty := true
 			for _, k := range t.Kids {
 				kid, km := walk(k)
 				kids = append(kids, kid)
-				orInto(mask, km)
+				mask.or(km)
+				empty = empty && idx.emptyBound[kid]
 			}
 			idx.kids[id] = kids
+			idx.emptyBound[id] = empty
 		case *NAtom:
-			for _, a := range t.Args {
-				if vid, ok := idx.varID[a]; ok {
-					mask[vid] = true
+			idx.kind[id] = kindAtom
+			a := atomSlots{atom: t, nargs: uint8(len(t.Args))}
+			a.op, a.opOK = opcodeFor(t.Opcode)
+			for i, name := range t.Args {
+				slot := slotOf(name)
+				a.args[i] = slot
+				if slot >= 0 {
+					mask.set(int(slot))
 				}
 			}
-			for _, list := range t.Lists {
-				for _, r := range list {
-					if vid, ok := idx.varID[r.Name]; ok {
-						mask[vid] = true
+			a.lists = -1
+			if len(t.Lists) > 0 {
+				a.lists = int32(len(idx.lists))
+				var lists [][]listSlot
+				for _, list := range t.Lists {
+					var refs []listSlot
+					for _, r := range list {
+						ls := listSlot{name: r.Name, slot: slotOf(r.Name), prefix: r.Name + "["}
+						if ls.slot >= 0 {
+							mask.set(int(ls.slot))
+						}
+						for vid, v := range vars {
+							if len(v) > len(ls.prefix) && strings.HasPrefix(v, ls.prefix) {
+								ls.under = append(ls.under, int32(vid))
+							}
+						}
+						refs = append(refs, ls)
 					}
+					lists = append(lists, refs)
 				}
+				idx.lists = append(idx.lists, lists)
 			}
+			idx.ref[id] = int32(len(idx.atoms))
+			idx.atoms = append(idx.atoms, a)
 		case *NCollect:
+			idx.kind[id] = kindCollect
+			idx.ref[id] = int32(len(idx.collects))
+			idx.collects = append(idx.collects, nil)
 			if ci := t.collectInfo(); ci != nil {
+				link := &collectLink{c: t, info: ci}
 				for _, v := range ci.protoVars {
-					if vid, ok := idx.varID[v]; ok {
-						mask[vid] = true
+					slot := slotOf(v)
+					link.outer = append(link.outer, slot)
+					if slot >= 0 {
+						mask.set(int(slot))
 					}
 				}
+				for vid, v := range vars {
+					if _, inBody := ci.idx.varID[v]; !inBody {
+						link.rest = append(link.rest, int32(vid))
+					}
+				}
+				idx.collects[idx.ref[id]] = link
 			}
 		}
 		idx.varIn[id] = mask
@@ -137,8 +263,8 @@ func buildIndex(root Node, vars []string) *probIndex {
 
 	idx.varNodes = make([][]int, nvars)
 	for id, mask := range idx.varIn {
-		for vid, in := range mask {
-			if in {
+		for vid := range nvars {
+			if mask.has(vid) {
 				idx.varNodes[vid] = append(idx.varNodes[vid], id)
 			}
 		}
@@ -146,11 +272,18 @@ func buildIndex(root Node, vars []string) *probIndex {
 	return idx
 }
 
-func orInto(dst, src []bool) {
-	for i, b := range src {
-		if b {
-			dst[i] = true
-		}
+// bitset is a dense set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (i & 63) }
+
+func (b bitset) or(o bitset) {
+	for i, w := range o {
+		b[i] |= w
 	}
 }
 
@@ -163,14 +296,12 @@ func (c *NCollect) collectInfo() *collectInfo {
 		if err != nil {
 			return
 		}
+		seen := map[string]bool{}
 		var vars []string
-		collectVars(proto, map[string]bool{}, &vars)
+		collectVars(proto, seen, &vars)
+		ci := &collectInfo{nArgs: len(vars)}
 		// List references inside the body can also name outer variables.
 		for _, at := range gatherAtoms(proto) {
-			seen := map[string]bool{}
-			for _, v := range vars {
-				seen[v] = true
-			}
 			for _, list := range at.Lists {
 				for _, r := range list {
 					if !seen[r.Name] {
@@ -180,16 +311,33 @@ func (c *NCollect) collectInfo() *collectInfo {
 				}
 			}
 		}
-		c.info = &collectInfo{proto: proto, protoVars: vars, idx: buildIndex(proto, vars)}
+		ci.protoVars = vars
+		ci.idx = buildIndex(proto, vars)
+		c.info = ci
 	})
 	return c.info
 }
 
-// Solver searches one analysed function for all solutions of a problem.
-type Solver struct {
-	prob *Problem
+// instance returns the variable names of the j-th instance of the collect
+// body, positionally aligned with the prototype's first nArgs slots.
+func (ci *collectInfo) instance(c *NCollect, j int) ([]string, bool) {
+	ci.mu.Lock()
+	defer ci.mu.Unlock()
+	for len(ci.insts) <= j {
+		var names []string
+		if inst, err := c.Instantiate(len(ci.insts)); err == nil {
+			names = []string{}
+			collectVars(inst, map[string]bool{}, &names)
+		}
+		ci.insts = append(ci.insts, names)
+	}
+	return ci.insts[j], ci.insts[j] != nil
+}
+
+// fnState is the per-function context a solver shares with the sub-solvers
+// of its collects.
+type fnState struct {
 	info *analysis.Info
-	idx  *probIndex
 
 	// domain is every value a variable may take: instructions, arguments
 	// and constants appearing as operands.
@@ -198,18 +346,49 @@ type Solver struct {
 	// byOpcode indexes the instructions for candidate generation.
 	byOpcode map[ir.Opcode][]ir.Value
 
-	assign map[string]ir.Value
+	// domainSets caches the domain filtered by each unary type or class
+	// atom.
+	domainSets map[*NAtom][]ir.Value
+
+	// ids interns values for memo and dedup keys.
+	ids valueIDs
+}
+
+// Solver searches one analysed function for all solutions of a problem.
+type Solver struct {
+	*fnState
+	idx *probIndex
+
+	// The assignment: vals[slot] is meaningful where bit slot of bound is
+	// set. order is the search order over slots.
+	vals  []ir.Value
+	bound bitset
+	order []int
+
+	// binds holds the values of names without a slot — collect instances
+	// such as x[3] — in binding order, one entry per name. Entries before
+	// base are the enclosing solver's, visible to a collect body.
+	binds []binding
+	base  int
 
 	// node evaluation cache (invalidated per variable via idx.varNodes).
-	nodeVal   []tribool
-	nodeKnown []bool
+	nodeVal []tribool
 
-	sols    []Solution
-	solKeys map[string]bool
+	found   []found
+	solKeys map[string]struct{}
 
-	// collectMemo caches resolved collects keyed by the binding signature of
-	// the body's outer variables.
+	// collectMemo caches resolved collects keyed by the collect's node id
+	// and the values of its body's outer variables. subs holds one reusable
+	// sub-solver per collect node.
 	collectMemo map[string]*collectResult
+	subs        map[int]*Solver
+
+	// Scratch storage reused across calls.
+	keyBuf  []byte
+	ctxBuf  []ir.Value
+	saved   []slotValue
+	sortBuf []binding
+	seen    []map[ir.Value]bool
 
 	cancelled bool
 
@@ -247,10 +426,51 @@ type binding struct {
 	val  ir.Value
 }
 
+type slotValue struct {
+	slot int
+	val  ir.Value
+}
+
+// found is one accepted solution in slot form: the slot values (nil where
+// unbound) and the solver's own bindings.
+type found struct {
+	vals  []ir.Value
+	binds []binding
+}
+
+// valueIDs numbers values from 1 for use in byte keys. Constants number by
+// type and payload, so equal constants at different operand sites share an
+// ID; every other value numbers by identity.
+type valueIDs struct {
+	byValue map[ir.Value]uint32
+	byConst map[string]uint32
+}
+
+func (v *valueIDs) id(x ir.Value) uint32 {
+	if id, ok := v.byValue[x]; ok {
+		return id
+	}
+	if v.byValue == nil {
+		v.byValue = map[ir.Value]uint32{}
+		v.byConst = map[string]uint32{}
+	}
+	id := uint32(len(v.byValue)) + 1
+	if c, ok := x.(*ir.Const); ok {
+		k := c.Ty.String() + ":" + c.Operand()
+		if prev, ok := v.byConst[k]; ok {
+			id = prev
+		} else {
+			v.byConst[k] = id
+		}
+	}
+	v.byValue[x] = id
+	return id
+}
+
 // NewSolver prepares a solver for one function.
 func NewSolver(prob *Problem, info *analysis.Info) *Solver {
-	s := &Solver{prob: prob, info: info}
-	s.assign = map[string]ir.Value{}
+	s := &Solver{fnState: &fnState{info: info, domainSets: map[*NAtom][]ir.Value{}}}
+	s.domain = make([]ir.Value, 0, len(info.Fn.Args)+len(info.Instrs))
 	for _, arg := range info.Fn.Args {
 		s.domain = append(s.domain, arg)
 	}
@@ -281,47 +501,101 @@ func NewSolver(prob *Problem, info *analysis.Info) *Solver {
 		s.byOpcode[in.Op] = append(s.byOpcode[in.Op], in)
 	}
 	s.attachIndex(prob.index())
+	s.order = make([]int, len(prob.Vars))
+	for k, v := range prob.Vars {
+		s.order[k] = s.idx.varID[v]
+	}
 	return s
 }
 
-// attachIndex installs the static index and resets the evaluation cache.
+// attachIndex installs the static index and sizes the working state.
 func (s *Solver) attachIndex(idx *probIndex) {
 	s.idx = idx
-	s.nodeVal = make([]tribool, len(idx.nodes))
-	s.nodeKnown = make([]bool, len(idx.nodes))
+	s.vals = make([]ir.Value, len(idx.vars))
+	s.bound = newBitset(len(idx.vars))
+	s.nodeVal = make([]tribool, len(idx.kind))
+	s.solKeys = map[string]struct{}{}
 }
 
 // bind assigns a variable and invalidates affected node caches.
-func (s *Solver) bind(v string, val ir.Value) {
+func (s *Solver) bind(vid int, val ir.Value) {
 	if s.cancelled {
 		// Search effort spent after the abort was observed. The per-candidate
 		// cancel checks keep this at zero; tracked so tests can pin it.
 		s.lateBinds++
 	}
-	s.assign[v] = val
-	if vid, ok := s.idx.varID[v]; ok {
-		for _, id := range s.idx.varNodes[vid] {
-			s.nodeKnown[id] = false
-		}
+	s.vals[vid] = val
+	s.bound.set(vid)
+	for _, id := range s.idx.varNodes[vid] {
+		s.nodeVal[id] = triStale
 	}
 }
 
 // unbind removes a variable assignment and invalidates node caches.
-func (s *Solver) unbind(v string) {
-	delete(s.assign, v)
-	if vid, ok := s.idx.varID[v]; ok {
-		for _, id := range s.idx.varNodes[vid] {
-			s.nodeKnown[id] = false
+func (s *Solver) unbind(vid int) {
+	s.vals[vid] = nil
+	s.bound.unset(vid)
+	for _, id := range s.idx.varNodes[vid] {
+		s.nodeVal[id] = triStale
+	}
+}
+
+// value returns the current value of a name: its slot's when it has one,
+// else its collect binding's.
+func (s *Solver) value(slot int32, name string) (ir.Value, bool) {
+	if slot >= 0 {
+		return s.vals[slot], s.bound.has(int(slot))
+	}
+	for i := len(s.binds) - 1; i >= 0; i-- {
+		if s.binds[i].name == name {
+			return s.binds[i].val, true
 		}
 	}
+	return nil, false
+}
+
+// setBinding records a collect instance value; a name bound twice keeps the
+// later value.
+func (s *Solver) setBinding(b binding) {
+	s.binds = upsert(s.binds, s.base, b)
+}
+
+// upsert sets b in list, overwriting an entry of the same name at or after
+// from, or appending.
+func upsert(list []binding, from int, b binding) []binding {
+	for i := from; i < len(list); i++ {
+		if list[i].name == b.name {
+			list[i].val = b.val
+			return list
+		}
+	}
+	return append(list, b)
 }
 
 // Solve enumerates all solutions with one sequential backtracking search.
 func (s *Solver) Solve() []Solution {
-	s.sols = nil
-	s.solKeys = map[string]bool{}
+	s.search()
+	var sols []Solution
+	for _, f := range s.found {
+		sol := make(Solution, len(f.vals)+len(f.binds))
+		for vid, v := range f.vals {
+			if v != nil {
+				sol[s.idx.vars[vid]] = v
+			}
+		}
+		for _, b := range f.binds {
+			sol[b.name] = b.val
+		}
+		sols = append(sols, sol)
+	}
+	return sols
+}
+
+// search runs the backtracking search, leaving accepted solutions in found.
+func (s *Solver) search() {
+	s.found = s.found[:0]
+	clear(s.solKeys)
 	s.step(0)
-	return s.sols
 }
 
 // Cancelled reports whether the last Solve was aborted through Cancel before
@@ -329,7 +603,7 @@ func (s *Solver) Solve() []Solution {
 func (s *Solver) Cancelled() bool { return s.cancelled }
 
 func (s *Solver) limitReached() bool {
-	return s.Limit > 0 && len(s.sols) >= s.Limit
+	return s.Limit > 0 && len(s.found) >= s.Limit
 }
 
 func (s *Solver) step(k int) {
@@ -347,34 +621,33 @@ func (s *Solver) step(k int) {
 		default:
 		}
 	}
-	if k == len(s.prob.Vars) {
+	if k == len(s.order) {
 		s.finish()
 		return
 	}
-	v := s.prob.Vars[k]
-	if _, already := s.assign[v]; already {
+	vid := s.order[k]
+	if s.bound.has(vid) {
 		// Bound through an alias earlier; just verify and continue.
 		if s.evalNode(s.idx.root) != triFalse {
 			s.step(k + 1)
 		}
 		return
 	}
-	vid := s.idx.varID[v]
 	if !s.relevantID(s.idx.root, vid) {
 		// Every occurrence of v lies under an already-satisfied
 		// disjunction: its value cannot affect the formula. Bind the
 		// canonical marker so equivalent solutions collapse.
-		s.bind(v, Unconstrained)
+		s.bind(vid, Unconstrained)
 		s.step(k + 1)
-		s.unbind(v)
+		s.unbind(vid)
 		return
 	}
-	for _, c := range s.candidateList(v) {
-		s.bind(v, c)
+	for _, c := range s.candidateList(vid) {
+		s.bind(vid, c)
 		if s.evalNode(s.idx.root) != triFalse {
 			s.step(k + 1)
 		}
-		s.unbind(v)
+		s.unbind(vid)
 		// Observe the flag set by the periodic poll deeper in the recursion:
 		// without this, a cancel detected at depth d keeps enumerating
 		// siblings through bind/eval work at every frame on the way out.
@@ -384,13 +657,13 @@ func (s *Solver) step(k int) {
 	}
 }
 
-// candidateList returns every value variable v must be drawn from under the
-// current assignment: the atom-derived candidate set when it is bounded, the
-// full domain otherwise (or always, under the NaiveCandidates ablation).
-func (s *Solver) candidateList(v string) []ir.Value {
+// candidateList returns every value variable vid must be drawn from under
+// the current assignment: the atom-derived candidate set when it is bounded,
+// the full domain otherwise (or always, under the NaiveCandidates ablation).
+func (s *Solver) candidateList(vid int) []ir.Value {
 	if !s.NaiveCandidates {
-		if cands, bounded := s.candidates(s.prob.Root, v); bounded {
-			return cands
+		if set, bounded := s.candidates(s.idx.root, vid); bounded {
+			return set
 		}
 	}
 	return s.domain
@@ -400,47 +673,46 @@ func (s *Solver) candidateList(v string) []ir.Value {
 // current partial assignment. Collects never prune the partial search; they
 // are resolved in evalFinal.
 func (s *Solver) evalNode(id int) tribool {
-	if s.nodeKnown[id] {
-		return s.nodeVal[id]
+	if v := s.nodeVal[id]; v != triStale {
+		return v
 	}
 	var out tribool
-	switch t := s.idx.nodes[id].(type) {
-	case *NAnd:
+	switch s.idx.kind[id] {
+	case kindAnd:
 		out = triTrue
 		for _, kid := range s.idx.kids[id] {
-			switch s.evalNode(kid) {
-			case triFalse:
-				out = triFalse
-			case triUnknown:
-				if out != triFalse {
-					out = triUnknown
-				}
+			v := s.nodeVal[kid]
+			if v == triStale {
+				v = s.evalNode(kid)
 			}
-			if out == triFalse {
+			if v == triFalse {
+				out = triFalse
 				break
 			}
+			if v == triUnknown {
+				out = triUnknown
+			}
 		}
-	case *NOr:
+	case kindOr:
 		out = triFalse
 		for _, kid := range s.idx.kids[id] {
-			switch s.evalNode(kid) {
-			case triTrue:
-				out = triTrue
-			case triUnknown:
-				if out != triTrue {
-					out = triUnknown
-				}
+			v := s.nodeVal[kid]
+			if v == triStale {
+				v = s.evalNode(kid)
 			}
-			if out == triTrue {
+			if v == triTrue {
+				out = triTrue
 				break
 			}
+			if v == triUnknown {
+				out = triUnknown
+			}
 		}
-	case *NAtom:
-		out = s.evalAtom(t, false)
-	case *NCollect:
+	case kindAtom:
+		out = s.evalAtom(&s.idx.atoms[s.idx.ref[id]], false)
+	case kindCollect:
 		out = triUnknown
 	}
-	s.nodeKnown[id] = true
 	s.nodeVal[id] = out
 	return out
 }
@@ -450,114 +722,88 @@ func (s *Solver) evalNode(id int) tribool {
 // is monotone in assignments — decided nodes (true or false) stay decided —
 // so only Unknown regions of the formula can be affected by the variable.
 func (s *Solver) relevantID(id int, vid int) bool {
-	if !s.idx.varIn[id][vid] {
+	if !s.idx.varIn[id].has(vid) {
 		return false
 	}
 	if s.evalNode(id) != triUnknown {
 		return false
 	}
-	switch s.idx.nodes[id].(type) {
-	case *NAnd, *NOr:
+	switch s.idx.kind[id] {
+	case kindAnd, kindOr:
 		for _, kid := range s.idx.kids[id] {
 			if s.relevantID(kid, vid) {
 				return true
 			}
 		}
 		return false
-	case *NAtom, *NCollect:
-		return true
 	}
-	return false
+	return true
 }
 
 // finish validates the full assignment including collects, then records the
-// solution. Collect bindings are installed into the live assignment while
-// the remainder of the formula evaluates, so list atomics following a
-// collect (e.g. a kernel over collected reads) can see them.
+// solution. Collect bindings are installed while the remainder of the
+// formula evaluates, so list atomics following a collect (e.g. a kernel over
+// collected reads) can see them.
 func (s *Solver) finish() {
 	// Canonicalize: variables whose assignment no longer influences the
 	// formula (their occurrences all sit in decided subformulas) are reset
 	// to the Unconstrained marker so equivalent solutions collapse. The
 	// original values are restored before returning to the search.
-	saved := map[string]ir.Value{}
-	for _, v := range s.prob.Vars {
-		val, bound := s.assign[v]
-		if !bound || val == Unconstrained {
+	saved := s.saved[:0]
+	for _, vid := range s.order {
+		if !s.bound.has(vid) || s.vals[vid] == Unconstrained {
 			continue
 		}
-		s.unbind(v)
-		if s.relevantID(s.idx.root, s.idx.varID[v]) {
-			s.bind(v, val)
+		val := s.vals[vid]
+		s.unbind(vid)
+		if s.relevantID(s.idx.root, vid) {
+			s.bind(vid, val)
 		} else {
-			saved[v] = val
-			s.bind(v, Unconstrained)
+			saved = append(saved, slotValue{vid, val})
+			s.bind(vid, Unconstrained)
 		}
 	}
-	restore := func() {
-		for k, val := range saved {
-			s.bind(k, val)
-		}
+	if s.evalFinal(s.idx.root) == triTrue {
+		s.record()
 	}
-
-	extra := map[string]ir.Value{}
-	ok := s.evalFinal(s.prob.Root, extra)
-	for k := range extra {
-		delete(s.assign, k)
+	s.binds = s.binds[:s.base]
+	for _, sv := range saved {
+		s.bind(sv.slot, sv.val)
 	}
-	if ok != triTrue {
-		restore()
-		return
-	}
-	sol := Solution{}
-	for k, v := range s.assign {
-		sol[k] = v
-	}
-	for k, v := range extra {
-		sol[k] = v
-	}
-	restore()
-	// Deduplicate identical solutions arising from overlapping disjunctions.
-	key := canonicalKey(sol)
-	if s.solKeys[key] {
-		return
-	}
-	s.solKeys[key] = true
-	s.sols = append(s.sols, sol)
+	s.saved = saved
 }
 
-// canonicalKey renders a solution as a stable string for deduplication.
-func canonicalKey(sol Solution) string {
-	names := make([]string, 0, len(sol))
-	for n := range sol {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('=')
-		v := sol[n]
-		if c, ok := v.(*ir.Const); ok {
-			b.WriteString(c.Ty.String())
-			b.WriteByte(':')
+// record keeps the current assignment as a solution unless an identical one
+// (same value for every name, constants compared by type and payload) was
+// already found through an overlapping disjunction.
+func (s *Solver) record() {
+	key := s.keyBuf[:0]
+	for vid, v := range s.vals {
+		var id uint32
+		if s.bound.has(vid) {
+			id = s.ids.id(v)
 		}
-		b.WriteString(v.Operand())
-		b.WriteByte(';')
+		key = binary.LittleEndian.AppendUint32(key, id)
 	}
-	return b.String()
-}
-
-func sameSolution(a, b Solution) bool {
-	if len(a) != len(b) {
-		return false
+	own := append(s.sortBuf[:0], s.binds[s.base:]...)
+	slices.SortFunc(own, func(a, b binding) int { return strings.Compare(a.name, b.name) })
+	for _, b := range own {
+		key = append(key, b.name...)
+		key = append(key, 0)
+		key = binary.LittleEndian.AppendUint32(key, s.ids.id(b.val))
 	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || !sameValue(v, w) {
-			return false
+	s.keyBuf, s.sortBuf = key, own
+	if _, dup := s.solKeys[string(key)]; dup {
+		return
+	}
+	s.solKeys[string(key)] = struct{}{}
+	vals := make([]ir.Value, len(s.vals))
+	for vid, v := range s.vals {
+		if s.bound.has(vid) {
+			vals[vid] = v
 		}
 	}
-	return true
+	s.found = append(s.found, found{vals: vals, binds: slices.Clone(s.binds[s.base:])})
 }
 
 // sameValue compares values; constants compare by type and payload.
@@ -573,170 +819,134 @@ func sameValue(a, b ir.Value) bool {
 	return ca.Null == cb.Null && ca.IntVal == cb.IntVal && ca.FloatVal == cb.FloatVal
 }
 
-// --- three-valued evaluation (uncached walk used by final validation) ---
-
-// eval evaluates the formula under the current partial assignment. When
-// final is true, collects and list atomics are fully resolved.
-func (s *Solver) eval(n Node, final bool) tribool {
-	switch t := n.(type) {
-	case *NAnd:
-		out := triTrue
-		for _, k := range t.Kids {
-			switch s.eval(k, final) {
-			case triFalse:
-				return triFalse
-			case triUnknown:
-				out = triUnknown
-			}
-		}
-		return out
-	case *NOr:
-		out := triFalse
-		for _, k := range t.Kids {
-			switch s.eval(k, final) {
-			case triTrue:
-				return triTrue
-			case triUnknown:
-				out = triUnknown
-			}
-		}
-		return out
-	case *NAtom:
-		return s.evalAtom(t, final)
-	case *NCollect:
-		// Collects never prune the partial search; they are resolved in
-		// evalFinal.
-		return triUnknown
-	}
-	return triUnknown
-}
-
 // evalFinal evaluates with all regular variables assigned, resolving
-// collect nodes and binding their solutions into extra.
-func (s *Solver) evalFinal(n Node, extra map[string]ir.Value) tribool {
-	switch t := n.(type) {
-	case *NAnd:
-		for _, k := range t.Kids {
-			if s.evalFinal(k, extra) != triTrue {
+// collect nodes and installing their instance bindings.
+func (s *Solver) evalFinal(id int) tribool {
+	switch s.idx.kind[id] {
+	case kindAnd:
+		for _, kid := range s.idx.kids[id] {
+			if s.evalFinal(kid) != triTrue {
 				return triFalse
 			}
 		}
 		return triTrue
-	case *NOr:
-		for _, k := range t.Kids {
-			if s.evalFinal(k, extra) == triTrue {
+	case kindOr:
+		for _, kid := range s.idx.kids[id] {
+			if s.evalFinal(kid) == triTrue {
 				return triTrue
 			}
 		}
 		return triFalse
-	case *NAtom:
-		return s.evalAtom(t, true)
-	case *NCollect:
-		return s.resolveCollect(t, extra)
+	case kindAtom:
+		return s.evalAtom(&s.idx.atoms[s.idx.ref[id]], true)
 	}
-	return triFalse
+	return s.resolveCollect(id)
 }
 
 // resolveCollect enumerates all solutions of the collect body and binds the
-// indexed instances. Results are memoized on the binding signature of the
-// body's outer variables: identical outer contexts resolve identically.
-func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool {
-	ci := c.collectInfo()
-	if ci == nil {
+// indexed instances. Results are memoized on the values of the body's outer
+// variables: identical outer contexts resolve identically.
+func (s *Solver) resolveCollect(id int) tribool {
+	link := s.idx.collects[s.idx.ref[id]]
+	if link == nil {
 		return triFalse
 	}
+	ci := link.info
 
-	// Memo lookup.
-	var keyB strings.Builder
-	fmt.Fprintf(&keyB, "%p|", c)
-	for _, v := range ci.protoVars {
-		if val, bound := s.assign[v]; bound {
-			keyB.WriteString(v)
-			keyB.WriteByte('=')
-			if cst, ok := val.(*ir.Const); ok {
-				keyB.WriteString(cst.Ty.String())
-				keyB.WriteByte(':')
-			}
-			keyB.WriteString(val.Operand())
-			keyB.WriteByte(';')
+	// The outer context: each body variable's current value (nil when
+	// unbound), which is also the memo key.
+	ctx := s.ctxBuf[:0]
+	key := binary.LittleEndian.AppendUint32(s.keyBuf[:0], uint32(id))
+	for i, name := range ci.protoVars {
+		v, ok := s.value(link.outer[i], name)
+		var vid uint32
+		if ok {
+			vid = s.ids.id(v)
+		} else {
+			v = nil
 		}
+		ctx = append(ctx, v)
+		key = binary.LittleEndian.AppendUint32(key, vid)
 	}
-	key := keyB.String()
+	s.ctxBuf, s.keyBuf = ctx, key
 	if s.collectMemo == nil {
 		s.collectMemo = map[string]*collectResult{}
 	}
-	if res, hit := s.collectMemo[key]; hit {
+	if res, hit := s.collectMemo[string(key)]; hit {
 		if !res.ok {
 			return triFalse
 		}
-		for _, b := range res.bindings {
-			extra[b.name] = b.val
-			s.assign[b.name] = b.val
+		if len(s.binds) == s.base {
+			s.binds = append(s.binds, res.bindings...)
+		} else {
+			for _, b := range res.bindings {
+				s.setBinding(b)
+			}
 		}
 		return triTrue
 	}
 	memo := &collectResult{}
-	s.collectMemo[key] = memo
+	s.collectMemo[string(key)] = memo
 
 	// Variables already bound by the outer assignment stay fixed; the rest
-	// are solved for.
-	var free []string
-	freeSet := map[string]bool{}
-	for _, v := range ci.protoVars {
-		if _, bound := s.assign[v]; !bound {
-			free = append(free, v)
-			freeSet[v] = true
+	// are solved for, in slot order.
+	sub := s.subSolver(id, ci)
+	for vid, v := range ctx {
+		if v != nil {
+			sub.bind(vid, v)
+		} else {
+			sub.order = append(sub.order, vid)
 		}
 	}
-	sub := &Solver{
-		prob:     &Problem{Name: "collect", Root: ci.proto, Vars: free},
-		info:     s.info,
-		domain:   s.domain,
-		byOpcode: s.byOpcode,
-		Cancel:   s.Cancel,
+	for _, vid := range link.rest {
+		if s.bound.has(int(vid)) {
+			sub.binds = append(sub.binds, binding{s.idx.vars[vid], s.vals[vid]})
+		}
 	}
-	sub.assign = map[string]ir.Value{}
-	sub.attachIndex(buildIndex(ci.proto, free))
-	for k, v := range s.assign {
-		sub.assign[k] = v
+	for _, b := range s.binds {
+		if _, inBody := ci.idx.varID[b.name]; !inBody {
+			sub.binds = append(sub.binds, b)
+		}
 	}
-	subSols := sub.Solve()
+	sub.base = len(sub.binds)
+	sub.search()
 	if sub.cancelled {
 		s.cancelled = true
 	}
 	s.lateBinds += sub.lateBinds
-	if debugCollect {
-		fmt.Printf("resolveCollect: free=%v assign-keys=%d subSols=%d\n", free, len(s.assign), len(subSols))
-		for i, ss := range subSols {
-			fmt.Printf("  sub %d: %s\n", i, ss)
-		}
-	}
 	s.Steps += sub.Steps
-	if len(subSols) < c.Min {
+	if len(sub.found) < link.c.Min {
 		return triFalse
 	}
-	// Deterministic order: by position of the first free variable's value in
-	// the textual rendering.
-	sort.SliceStable(subSols, func(i, j int) bool {
-		return solutionKey(subSols[i], free) < solutionKey(subSols[j], free)
-	})
-	for j, sol := range subSols {
-		inst, err := c.Instantiate(j)
-		if err != nil {
+	// Deterministic order: by the textual rendering of the free variables'
+	// values.
+	keys := make([]string, len(sub.found))
+	for i, f := range sub.found {
+		var b strings.Builder
+		for _, vid := range sub.order {
+			if v := f.vals[vid]; v != nil {
+				b.WriteString(v.Operand())
+				b.WriteString("|")
+			}
+		}
+		keys[i] = b.String()
+	}
+	byKey := make([]int, len(sub.found))
+	for i := range byKey {
+		byKey[i] = i
+	}
+	sort.SliceStable(byKey, func(i, j int) bool { return keys[byKey[i]] < keys[byKey[j]] })
+	for j, fi := range byKey {
+		names, ok := ci.instance(link.c, j)
+		if !ok || len(names) != ci.nArgs {
 			return triFalse
 		}
-		var instVars []string
-		collectVars(inst, map[string]bool{}, &instVars)
-		var protoOrdered []string
-		collectVars(ci.proto, map[string]bool{}, &protoOrdered)
-		if len(instVars) != len(protoOrdered) {
-			return triFalse
-		}
-		for i, pv := range protoOrdered {
-			if v, ok := sol[pv]; ok && freeSet[pv] {
-				extra[instVars[i]] = v
-				s.assign[instVars[i]] = v
-				memo.bindings = append(memo.bindings, binding{instVars[i], v})
+		vals := sub.found[fi].vals
+		for i, name := range names {
+			if ctx[i] == nil && vals[i] != nil {
+				b := binding{name, vals[i]}
+				s.setBinding(b)
+				memo.bindings = upsert(memo.bindings, 0, b)
 			}
 		}
 	}
@@ -744,30 +954,52 @@ func (s *Solver) resolveCollect(c *NCollect, extra map[string]ir.Value) tribool 
 	return triTrue
 }
 
-func solutionKey(sol Solution, vars []string) string {
-	var b strings.Builder
-	for _, v := range vars {
-		if val, ok := sol[v]; ok {
-			b.WriteString(val.Operand())
-			b.WriteString("|")
+// subSolver returns the collect node's sub-solver, reset to an empty
+// assignment with a fresh collect memo, as a solver built from scratch
+// would be.
+func (s *Solver) subSolver(id int, ci *collectInfo) *Solver {
+	sub := s.subs[id]
+	if sub == nil {
+		if s.subs == nil {
+			s.subs = map[int]*Solver{}
 		}
+		sub = &Solver{fnState: s.fnState}
+		sub.attachIndex(ci.idx)
+		s.subs[id] = sub
+	} else {
+		clear(sub.vals)
+		clear(sub.bound)
+		clear(sub.nodeVal)
+		sub.order = sub.order[:0]
+		sub.binds = sub.binds[:0]
+		sub.base = 0
+		sub.collectMemo = nil
+		sub.cancelled = false
+		sub.lateBinds = 0
+		sub.Steps = 0
 	}
-	return b.String()
+	sub.Cancel = s.Cancel
+	return sub
 }
 
 // --- candidate generation ---
 
-// candidates derives a sound candidate set for variable v from the formula:
-// any satisfying assignment must draw v from the returned set. AND nodes may
-// use any child's set (the tightest is chosen); OR nodes need every child to
-// produce one.
-func (s *Solver) candidates(n Node, v string) ([]ir.Value, bool) {
-	switch t := n.(type) {
-	case *NAnd:
+// candidates derives a sound candidate set for variable vid from the
+// formula: any satisfying assignment must draw it from the returned set. AND
+// nodes may use any child's set (the first tightest is chosen); OR nodes
+// need every child to produce one. Subtrees that do not mention the variable
+// yield no set (or, for an empty disjunction, the empty set) without being
+// walked.
+func (s *Solver) candidates(id, vid int) ([]ir.Value, bool) {
+	if !s.idx.varIn[id].has(vid) {
+		return nil, s.idx.emptyBound[id]
+	}
+	switch s.idx.kind[id] {
+	case kindAnd:
 		best := []ir.Value(nil)
 		found := false
-		for _, k := range t.Kids {
-			if set, ok := s.candidates(k, v); ok {
+		for _, kid := range s.idx.kids[id] {
+			if set, ok := s.candidates(kid, vid); ok {
 				if !found || len(set) < len(best) {
 					best = set
 					found = true
@@ -775,12 +1007,13 @@ func (s *Solver) candidates(n Node, v string) ([]ir.Value, bool) {
 			}
 		}
 		return best, found
-	case *NOr:
+	case kindOr:
+		seen := s.takeSeen()
 		var union []ir.Value
-		seen := map[ir.Value]bool{}
-		for _, k := range t.Kids {
-			set, ok := s.candidates(k, v)
+		for _, kid := range s.idx.kids[id] {
+			set, ok := s.candidates(kid, vid)
 			if !ok {
+				s.releaseSeen(seen)
 				return nil, false
 			}
 			for _, c := range set {
@@ -790,17 +1023,21 @@ func (s *Solver) candidates(n Node, v string) ([]ir.Value, bool) {
 				}
 			}
 		}
+		s.releaseSeen(seen)
 		return union, true
-	case *NAtom:
-		return s.atomCandidates(t, v)
+	case kindAtom:
+		return s.atomCandidates(&s.idx.atoms[s.idx.ref[id]], vid)
 	}
 	return nil, false
 }
 
-func (s *Solver) atomCandidates(t *NAtom, v string) ([]ir.Value, bool) {
+// atomCandidates returns the candidate set an atom yields for variable vid,
+// given the values of its other arguments.
+func (s *Solver) atomCandidates(a *atomSlots, vid int) ([]ir.Value, bool) {
+	t := a.atom
 	pos := -1
-	for i, a := range t.Args {
-		if a == v {
+	for i, slot := range a.args[:a.nargs] {
+		if int(slot) == vid {
 			pos = i
 			break
 		}
@@ -808,45 +1045,28 @@ func (s *Solver) atomCandidates(t *NAtom, v string) ([]ir.Value, bool) {
 	if pos < 0 {
 		return nil, false
 	}
-	val := func(i int) (ir.Value, bool) {
-		x, ok := s.assign[t.Args[i]]
-		return x, ok
-	}
+	val := func(i int) (ir.Value, bool) { return s.value(a.args[i], t.Args[i]) }
 	switch t.Kind {
 	case idl.AtomOpcodeIs:
-		op, ok := opcodeFor(t.Opcode)
-		if !ok {
+		if !a.opOK {
 			return nil, true // unknown opcode: empty set
 		}
-		return s.byOpcode[op], true
+		return s.byOpcode[a.op], true
 
-	case idl.AtomClassIs:
-		switch t.ClassName {
-		case "argument":
-			out := make([]ir.Value, 0, len(s.info.Fn.Args))
-			for _, a := range s.info.Fn.Args {
-				out = append(out, a)
-			}
-			return out, true
-		case "constant":
-			var out []ir.Value
+	case idl.AtomClassIs, idl.AtomTypeIs:
+		if t.Kind == idl.AtomClassIs && t.ClassName != "argument" && t.ClassName != "constant" {
+			return nil, false
+		}
+		set, ok := s.domainSets[t]
+		if !ok {
 			for _, d := range s.domain {
-				if _, ok := d.(*ir.Const); ok {
-					out = append(out, d)
+				if t.Kind == idl.AtomTypeIs && s.evalTypeIs(t, d) || t.Kind == idl.AtomClassIs && s.evalClassIs(t, d) {
+					set = append(set, d)
 				}
 			}
-			return out, true
+			s.domainSets[t] = set
 		}
-		return nil, false
-
-	case idl.AtomTypeIs:
-		var out []ir.Value
-		for _, d := range s.domain {
-			if s.evalTypeIs(t, d) {
-				out = append(out, d)
-			}
-		}
-		return out, true
+		return set, true
 
 	case idl.AtomSameAs:
 		if t.Negated {
@@ -988,5 +1208,18 @@ func (s *Solver) usersOf(x ir.Value) []*ir.Instruction {
 	return out
 }
 
-// debugCollect enables tracing of collect resolution (tests only).
-var debugCollect bool
+// takeSeen hands out an empty scratch set for one disjunction's union;
+// nested disjunctions each hold their own until releaseSeen.
+func (s *Solver) takeSeen() map[ir.Value]bool {
+	if n := len(s.seen); n > 0 {
+		m := s.seen[n-1]
+		s.seen = s.seen[:n-1]
+		return m
+	}
+	return map[ir.Value]bool{}
+}
+
+func (s *Solver) releaseSeen(m map[ir.Value]bool) {
+	clear(m)
+	s.seen = append(s.seen, m)
+}

@@ -12,6 +12,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -237,9 +238,21 @@ func solveIdiom(done <-chan struct{}, idm idioms.Idiom, prob *constraint.Problem
 // solution lists go through the same sort as fresh ones, so a cache hit
 // cannot perturb downstream claiming.
 func sortSolutions(sols []constraint.Solution) {
-	sort.SliceStable(sols, func(i, j int) bool {
-		return solutionOrder(sols[i]) < solutionOrder(sols[j])
-	})
+	if len(sols) < 2 {
+		return
+	}
+	type keyed struct {
+		key string
+		sol constraint.Solution
+	}
+	byKey := make([]keyed, len(sols))
+	for i, sol := range sols {
+		byKey[i] = keyed{solutionOrder(sol), sol}
+	}
+	slices.SortStableFunc(byKey, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range byKey {
+		sols[i] = k.sol
+	}
 }
 
 // merge runs claim-based de-duplication over one function's per-idiom
